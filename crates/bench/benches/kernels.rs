@@ -16,8 +16,8 @@ use std::hint::black_box;
 
 use scnn_bench::{Args, BenchGroup};
 use scnn_nn::kernels::{
-    avg_pool_forward, batch_norm_forward, conv2d_backward, conv2d_forward, linear_backward,
-    linear_forward, max_pool_forward, ConvAttrs, PoolAttrs,
+    avg_pool_forward, batch_norm_forward, conv2d_backward, conv2d_backward_micro, conv2d_forward,
+    linear_backward, linear_forward, max_pool_forward, ConvAttrs, PoolAttrs,
 };
 use scnn_rng::SplitRng;
 use scnn_tensor::{
@@ -93,6 +93,20 @@ fn main() {
     scnn_par::scratch::reset_peak();
     black_box(conv2d_backward(&x, &w, false, &dy, &attrs));
     g.record_bytes("conv2d_bwd_scratch_peak", scnn_par::scratch::peak_bytes());
+
+    // A deep layer of the split ResNet-18 training step under its planned
+    // micro-batch of 4 images: every `dw` call is one whole KC block, so
+    // the reduction parallelizes only across output-channel bands.
+    // Its inputs come from their own generator, leaving those of every
+    // other record unchanged.
+    let mut drng = SplitRng::seed_from_u64(2);
+    let (dn, dc, dhw) = if smoke { (2, 4, 4) } else { (8, 128, 8) };
+    let dx_in = uniform(&mut drng, &[dn, dc, dhw, dhw], -1.0, 1.0);
+    let dw_in = uniform(&mut drng, &[dc, dc, 3, 3], -0.1, 0.1);
+    let ddy = uniform(&mut drng, &[dn, dc, dhw, dhw], -1.0, 1.0);
+    g.bench("conv2d_bwd_8x128x8x8_micro4", || {
+        conv2d_backward_micro(&dx_in, &dw_in, false, &ddy, &attrs, None, 4)
+    });
 
     // The lowering stages of the conv above, measured on their own.
     let geo = Conv2dGeometry::new(c, hw, hw, 3, 3, 1, 1, Padding2d::symmetric(1));

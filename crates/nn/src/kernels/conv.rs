@@ -332,7 +332,7 @@ pub fn conv2d_backward_micro(
                 let bn = u.min(n - b0);
                 conv2d_dw_tiled_acc(&xc, dy, &g, b0, bn, &mut dw, b0 == 0);
             }
-            // dx scratch is one patch row per thread — nothing to chunk.
+            // dx scratch is one position tile per thread — nothing to chunk.
             conv2d_dx_tiled(dy, w, &g, &mut dx, off_h, off_w);
         }
         // Winograd chunking shrinks the per-image transform-domain

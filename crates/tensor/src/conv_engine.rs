@@ -27,6 +27,17 @@
 //!   kx)` order, parallel per batch image only (`oy` windows overlap
 //!   inside an image).
 //!
+//! Both backward reductions run on
+//! [`rank_k_update`](crate::simd::rank_k_update), whose contract is that
+//! of the GEMMs' zero-skipping `axpy` loop: per element the same
+//! mul/add chain in the same order with the same skips. Output-channel
+//! bands (`dw`), column strips and position tiles (`dx`) only partition
+//! independent outputs, so they carry no bits. `dw` reads `dy` in place
+//! (panels stop at image boundaries, so a panel's `dy` rows have stride 1
+//! in `p` and `oh·ow` across channels); `dx` reduces a tile of positions
+//! at a time into scratch rows, so the weights stream once per tile
+//! rather than once per position.
+//!
 //! The weight tensor `[oc, ic, kh, kw]` is row-major contiguous, so its
 //! natural layout *is* the `[oc, plen]` panel the micro-kernel wants —
 //! "packing" the B side is the identity, which is why there is no weight
@@ -34,9 +45,10 @@
 
 use crate::im2col::Conv2dGeometry;
 use crate::plan::{self, KernelPlan};
-use crate::simd::{add_assign, axpy, dot8, dot8_x4, dot8_x8};
+use crate::simd::{add_assign, dot8, dot8_x4, dot8_x8, rank_k_update, RankK, MR};
 use crate::Tensor;
 use scnn_par::{scratch, DisjointMut};
+use std::ops::Range;
 
 /// Which convolution implementation to run. `Tiled` and `Materialized`
 /// produce identical bits — the choice between them is purely a
@@ -130,6 +142,17 @@ pub fn min_micro_batch(g: &Conv2dGeometry, n: usize) -> usize {
 fn tile_rows(panel_bytes: usize, plen: usize, cap: usize) -> usize {
     (panel_bytes / 4 / plen.max(1)).clamp(1, cap.max(1))
 }
+
+/// Parallel tasks (`KC` blocks × output-channel bands) one `dw` call aims
+/// for (see [`dw_band_rows`]). Every band beyond the first repacks the
+/// call's patch rows; on the 2-core reference host two tasks measured
+/// faster than four or eight.
+const DW_TASKS: usize = 2;
+
+/// Output positions one `dx` tile reduces together into its scratch
+/// panel, so the weights stream once per tile rather than once per
+/// position. Tiles only group independent patch-row gradients.
+const DX_TILE: usize = 32;
 
 /// Packs the `im2col` row of output position `(b, oy, ox)` into `row`
 /// (`[plen]`), writing **every** element — out-of-bounds taps store an
@@ -331,11 +354,12 @@ pub(crate) fn conv2d_fwd_tiled_plan(
 ///
 /// Writes `[oc, plen]` into `dw`, overwriting every element. The shared
 /// dimension `k = n·oh·ow` is split on the same `KC` boundaries as
-/// [`matmul_at_b`](crate::matmul_at_b); each block packs sub-tiles of
-/// patch rows and `dy` rows into per-thread panels, accumulates its
-/// partial with `p` ascending (skipping zero `dy` factors, as the GEMM
-/// does), and the flat partial buffer folds in ascending block order —
-/// bit-identical to the materialized pipeline at every thread count.
+/// [`matmul_at_b`](crate::matmul_at_b); each block, cut into
+/// output-channel bands, packs patch-row panels into per-thread scratch,
+/// accumulates its partial with `p` ascending (skipping zero `dy` factors,
+/// as the GEMM does), and the flat partial buffer folds in ascending block
+/// order — bit-identical to the materialized pipeline at every thread
+/// count.
 ///
 /// # Panics
 ///
@@ -409,8 +433,13 @@ pub(crate) fn conv2d_dw_tiled_acc_plan(
     let base = b0 * hw;
     let k = bn * hw;
     let kc = KernelPlan::reduction_kc();
-    let st = tile_rows(kp.panel_bytes, plen + oc, kc);
-    if conv2d_dw_single_block(g, n) {
+    let st = tile_rows(kp.panel_bytes, plen, kc);
+    let single = conv2d_dw_single_block(g, n);
+    let nblocks = if single { 1 } else { k.div_ceil(kc).max(1) };
+    let band = dw_band_rows(oc, nblocks);
+    let nbands = oc.div_ceil(band);
+    let chans = |bi: usize| bi * band..((bi + 1) * band).min(oc);
+    if single {
         // The whole batch is one sequential fold: accumulate straight into
         // `dw` (zeroed on `init`), with no partial-block scratch. The add
         // sequence equals what the blocked path runs inside block 0, so
@@ -420,18 +449,25 @@ pub(crate) fn conv2d_dw_tiled_acc_plan(
         if init {
             dw.fill(0.0);
         }
-        fold_patch_rows(src, dyv, g, oc, st, base, base + k, dw);
+        let rows = DisjointMut::new(dw);
+        scnn_par::parallel_for(nbands, |bi| {
+            let cs = chans(bi);
+            // Safety: band `bi` owns dw rows `cs`, disjoint across bands.
+            let acc = unsafe { rows.range(cs.start * plen, cs.end * plen) };
+            fold_patch_rows(src, dyv, g, oc, cs, st, base, base + k, acc);
+        });
         return;
     }
-    let nblocks = k.div_ceil(kc).max(1);
     scratch::with_scratch(nblocks * oc * plen, |partials| {
         let slots = DisjointMut::new(partials);
-        scnn_par::parallel_for(nblocks, |bi| {
-            // Safety: partial slot `bi` is written only by task `bi`.
-            let part = unsafe { slots.range(bi * oc * plen, (bi + 1) * oc * plen) };
+        scnn_par::parallel_for(nblocks * nbands, |t| {
+            let (bi, cs) = (t / nbands, chans(t % nbands));
+            // Safety: task `t` alone writes rows `cs` of partial slot `bi`.
+            let part =
+                unsafe { slots.range((bi * oc + cs.start) * plen, (bi * oc + cs.end) * plen) };
             let p0 = base + bi * kc;
             let p1 = (p0 + kc).min(base + k);
-            fold_patch_rows(src, dyv, g, oc, st, p0, p1, part);
+            fold_patch_rows(src, dyv, g, oc, cs, st, p0, p1, part);
         });
         let start = if init {
             dw.copy_from_slice(&partials[..oc * plen]);
@@ -445,16 +481,34 @@ pub(crate) fn conv2d_dw_tiled_acc_plan(
     });
 }
 
-/// Accumulates patch rows `[p0, p1)` of the weight-gradient reduction into
-/// `acc` (`[oc·plen]`), packing `st`-row panels: the strictly `p`-ascending
-/// add order shared by the blocked partials and the single-block direct
-/// path — panel boundaries affect only packing, never the fold sequence.
+/// Output-channel rows per `dw` band for a call spanning `nblocks` `KC`
+/// blocks: enough bands that blocks × bands reaches [`DW_TASKS`], each at
+/// least 16 rows and a multiple of [`MR`]. Bands are the reduction's
+/// second axis of parallelism — under micro-batching every call is a
+/// single block, which without bands would run on one core — but every
+/// band packs its own patch panels, so no more are cut than that. A
+/// function of the shape only: bands partition independent outputs, so
+/// they carry no bits, and they never depend on the thread count.
+fn dw_band_rows(oc: usize, nblocks: usize) -> usize {
+    let bands = DW_TASKS.div_ceil(nblocks);
+    oc.div_ceil(bands).next_multiple_of(MR).max(4 * MR)
+}
+
+/// Accumulates patch rows `[p0, p1)` of the weight-gradient reduction for
+/// output channels `chans` into `acc` (`[chans.len()·plen]`): packs panels
+/// of at most `st` patch rows, never crossing an image, and hands each to
+/// [`rank_k_update`] with that image's `dy` plane read in place (`k`
+/// stride 1, channel stride `oh·ow`). Every element's adds run strictly
+/// `p`-ascending with the zero-skip on `dy` — the order shared by the
+/// blocked partials and the single-block direct path; panels and bands
+/// affect only packing, never the fold sequence.
 #[allow(clippy::too_many_arguments)]
 fn fold_patch_rows(
     src: &[f32],
     dyv: &[f32],
     g: &Conv2dGeometry,
     oc: usize,
+    chans: Range<usize>,
     st: usize,
     p0: usize,
     p1: usize,
@@ -464,30 +518,26 @@ fn fold_patch_rows(
     let hw = oh * ow;
     let plen = g.patch_len();
     scratch::with_scratch(st * plen, |colpanel| {
-        scratch::with_scratch(st * oc, |dypanel| {
-            for q0 in (p0..p1).step_by(st) {
-                let q1 = (q0 + st).min(p1);
-                for (t, p) in (q0..q1).enumerate() {
-                    let (b, rem) = (p / hw, p % hw);
-                    let (oy, ox) = (rem / ow, rem % ow);
-                    pack_patch(src, g, b, oy, ox, &mut colpanel[t * plen..(t + 1) * plen]);
-                    let drow = &mut dypanel[t * oc..(t + 1) * oc];
-                    for (c, d) in drow.iter_mut().enumerate() {
-                        *d = dyv[((b * oc + c) * oh + oy) * ow + ox];
-                    }
-                }
-                for t in 0..q1 - q0 {
-                    let arow = &dypanel[t * oc..(t + 1) * oc];
-                    let crow = &colpanel[t * plen..(t + 1) * plen];
-                    for (i, &aa) in arow.iter().enumerate() {
-                        if aa == 0.0 {
-                            continue;
-                        }
-                        axpy(aa, crow, &mut acc[i * plen..(i + 1) * plen]);
-                    }
-                }
+        let mut q0 = p0;
+        while q0 < p1 {
+            let (b, r0) = (q0 / hw, q0 % hw);
+            let q1 = (q0 + st).min(p1).min((b + 1) * hw);
+            for (t, rem) in (r0..r0 + q1 - q0).enumerate() {
+                let row = &mut colpanel[t * plen..(t + 1) * plen];
+                pack_patch(src, g, b, rem / ow, rem % ow, row);
             }
-        });
+            let s = RankK {
+                rows: chans.len(),
+                depth: q1 - q0,
+                cols: plen,
+                a_ks: 1,
+                a_rs: hw,
+                ldb: plen,
+                ldc: plen,
+            };
+            rank_k_update(s, &dyv[(b * oc + chans.start) * hw + r0..], colpanel, acc);
+            q0 = q1;
+        }
     });
 }
 
@@ -496,13 +546,15 @@ fn fold_patch_rows(
 ///
 /// Accumulates into `dst: [n, ic, full_h, full_w]` (zeroed by the caller),
 /// with the geometry's `in_h × in_w` window placed at `(off_h, off_w)` —
-/// the crop-offset contract of [`col2im_into`](crate::col2im_into). For
-/// each output position the patch-row gradient reduces over output
-/// channels in ascending order (zero-skip on the `dy` factor, as
-/// [`matmul`](crate::matmul) does) into a `plen` scratch row, then
-/// scatters in `(oy, ox, ky, kx)` order. Parallel over whole batch images
-/// only, so every destination element sees its contributions in the same
-/// order at every thread count.
+/// the crop-offset contract of [`col2im_into`](crate::col2im_into). Per
+/// image, a tile of up to [`DX_TILE`] consecutive output positions reduces
+/// over output channels in one [`rank_k_update`] (`dy` read in place:
+/// channel stride `oh·ow`, position stride 1) — per patch-row element the
+/// channels add in ascending order with the zero-skip on the `dy` factor,
+/// exactly as [`matmul`](crate::matmul) does. Each position then scatters
+/// in `(oy, ox, ky, kx)` order. Parallel over whole batch images only, so
+/// every destination element sees its contributions in the same order at
+/// every thread count.
 ///
 /// # Panics
 ///
@@ -537,54 +589,102 @@ pub fn conv2d_dx_tiled(
         g.in_w
     );
     let plen = g.patch_len();
-    let (h, w_in) = (g.in_h, g.in_w);
+    let hw = oh * ow;
     let dyv = dy.as_slice();
     let wv = w.as_slice();
     let plane = full_h * full_w;
+    let pt = DX_TILE.min(hw).max(1);
     scnn_par::par_chunks_mut(dst.as_mut_slice(), g.in_c * plane, |b, img| {
-        scratch::with_scratch(plen, |drow| {
-            for oy in 0..oh {
-                let iy0 = oy as i64 * g.sh as i64 - g.pad.h_begin;
-                for ox in 0..ow {
-                    let ix0 = ox as i64 * g.sw as i64 - g.pad.w_begin;
-                    drow.fill(0.0);
-                    for c in 0..oc {
-                        let aa = dyv[((b * oc + c) * oh + oy) * ow + ox];
-                        if aa == 0.0 {
-                            continue;
-                        }
-                        axpy(aa, &wv[c * plen..(c + 1) * plen], drow);
-                    }
-                    // Interior positions add each kernel row as one
-                    // contiguous run (same fast path as the pack).
-                    let x_full = ix0 >= 0 && ix0 + g.kw as i64 <= w_in as i64;
-                    for c in 0..g.in_c {
-                        let cbase = c * plane;
-                        for ky in 0..g.kh {
-                            let iy = iy0 + ky as i64;
-                            if iy < 0 || iy >= h as i64 {
-                                continue;
-                            }
-                            let iy = iy as usize + off_h;
-                            let q = (c * g.kh + ky) * g.kw;
-                            if x_full {
-                                let d0 = cbase + iy * full_w + (ix0 as usize + off_w);
-                                add_assign(&mut img[d0..d0 + g.kw], &drow[q..q + g.kw]);
-                                continue;
-                            }
-                            for kx in 0..g.kw {
-                                let ix = ix0 + kx as i64;
-                                if ix < 0 || ix >= w_in as i64 {
-                                    continue;
-                                }
-                                img[cbase + iy * full_w + (ix as usize + off_w)] += drow[q + kx];
-                            }
-                        }
-                    }
+        scratch::with_scratch(pt * plen, |drows| {
+            for t0 in (0..hw).step_by(pt) {
+                let tp = pt.min(hw - t0);
+                let drows = &mut drows[..tp * plen];
+                drows.fill(0.0);
+                let s = RankK {
+                    rows: tp,
+                    depth: oc,
+                    cols: plen,
+                    a_ks: hw,
+                    a_rs: 1,
+                    ldb: plen,
+                    ldc: plen,
+                };
+                rank_k_update(s, &dyv[b * oc * hw + t0..], wv, drows);
+                for (t, drow) in drows.chunks_exact(plen).enumerate() {
+                    let pos = t0 + t;
+                    scatter_patch(img, drow, g, pos / ow, pos % ow, full_w, off_h, off_w);
                 }
             }
         });
     });
+}
+
+/// Adds the patch-row gradient of output position `(oy, ox)` into one
+/// image `img` (`[ic, full_h, full_w]`) at window offset `(off_h, off_w)`,
+/// in `(c, ky, kx)` order — the inverse of [`pack_patch`], and
+/// [`col2im_into`](crate::col2im_into)'s per-position order. Each
+/// destination element takes exactly one add.
+#[allow(clippy::too_many_arguments)]
+fn scatter_patch(
+    img: &mut [f32],
+    drow: &[f32],
+    g: &Conv2dGeometry,
+    oy: usize,
+    ox: usize,
+    full_w: usize,
+    off_h: usize,
+    off_w: usize,
+) {
+    // A compile-time kernel width turns each kernel-row add into a few
+    // scalar adds instead of an `add_assign` call; ResNet and VGG use
+    // width 3 for every tiled layer.
+    match g.kw {
+        3 => scatter_patch_kw::<3>(img, drow, g, oy, ox, full_w, off_h, off_w),
+        _ => scatter_patch_kw::<0>(img, drow, g, oy, ox, full_w, off_h, off_w),
+    }
+}
+
+/// Body of [`scatter_patch`] for kernel width `KW` (`0` = read `g.kw`).
+/// The in-bounds kernel rows `ky_lo..ky_hi` and columns `kx_lo..kx_hi`
+/// are worked out once per position, so the per-channel loop carries no
+/// bounds tests beyond the slice checks.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn scatter_patch_kw<const KW: usize>(
+    img: &mut [f32],
+    drow: &[f32],
+    g: &Conv2dGeometry,
+    oy: usize,
+    ox: usize,
+    full_w: usize,
+    off_h: usize,
+    off_w: usize,
+) {
+    let kw = if KW == 0 { g.kw } else { KW };
+    let (h, w) = (g.in_h as i64, g.in_w as i64);
+    let iy0 = oy as i64 * g.sh as i64 - g.pad.h_begin;
+    let ix0 = ox as i64 * g.sw as i64 - g.pad.w_begin;
+    let ky_lo = (-iy0).clamp(0, g.kh as i64);
+    let ky_hi = (h - iy0).clamp(ky_lo, g.kh as i64);
+    let kx_lo = (-ix0).clamp(0, kw as i64) as usize;
+    let kx_hi = (w - ix0).clamp(kx_lo as i64, kw as i64) as usize;
+    if kx_lo == kx_hi {
+        return;
+    }
+    let (q0, q1) = (ky_lo as usize * kw, ky_hi as usize * kw);
+    let plane = img.len() / g.in_c;
+    let taps = drow.chunks_exact(g.kh * kw);
+    for (chan, src) in img.chunks_exact_mut(plane).zip(taps) {
+        for (ky, d) in (ky_lo..ky_hi).zip(src[q0..q1].chunks_exact(kw)) {
+            // The window's first in-bounds tap of kernel row `ky`.
+            let t0 = (iy0 + ky) as usize + off_h;
+            let t0 = t0 * full_w + (ix0 + kx_lo as i64) as usize + off_w;
+            let run = &mut chan[t0..t0 + (kx_hi - kx_lo)];
+            for (o, &v) in run.iter_mut().zip(&d[kx_lo..kx_hi]) {
+                *o += v;
+            }
+        }
+    }
 }
 
 /// Planned workspace bytes for one tiled conv layer (forward + backward):

@@ -3,10 +3,10 @@
 //! Every floating-point inner loop in this crate funnels through the
 //! handful of primitives defined here: the blocked dot products
 //! ([`dot8`], [`dot8_x4`], [`dot8_x8`]) behind `matmul_a_bt` and the
-//! tiled conv engine's packed-panel sweep, and the elementwise
-//! accumulators ([`axpy`], [`add_assign`]) behind `matmul`,
-//! `matmul_at_b`, the `dw` fold and the `dx` scatter. Each primitive has
-//! two implementations:
+//! tiled conv engine's packed-panel sweep, the elementwise accumulators
+//! ([`axpy`], [`add_assign`]) behind `matmul`, `matmul_at_b` and the `dx`
+//! scatter, and the register-blocked [`rank_k_update`] behind both tiled
+//! conv backward reductions. Each primitive has two implementations:
 //!
 //! - a **portable scalar** body, compiled for the baseline target — the
 //!   reference semantics; and
@@ -31,6 +31,9 @@
 //!   same fixed [`lane_sum`] tree.
 //! - [`axpy`]/[`add_assign`] are elementwise: each output element is one
 //!   mul-add (resp. one add) regardless of vector width.
+//! - [`rank_k_update`] runs, per output element, the same `k`-ascending,
+//!   zero-skipping mul-add chain as repeated [`axpy`] calls; register
+//!   tiles and column strips only partition independent elements.
 //! - **FMA contraction is deliberately not used.** `_mm256_fmadd_ps`
 //!   rounds once where `mul` + `add` round twice, which would break
 //!   bit-identity with the scalar body; the AVX2 kernels therefore issue
@@ -345,8 +348,8 @@ fn dot8_x8_scalar(a: &[f32], bs: [&[f32]; 8]) -> [f32; 8] {
     out
 }
 
-/// `y[i] += alpha * x[i]` — the accumulation row of `matmul`,
-/// `matmul_at_b`, the conv `dw` fold and the `dx` weight reduction.
+/// `y[i] += alpha * x[i]` — the accumulation row of `matmul` and
+/// `matmul_at_b`, and the reference chain of [`rank_k_update`].
 /// Elementwise (each output element is exactly one mul and one add in
 /// both bodies), so any vector width produces identical bits; callers
 /// keep their zero-skip (`alpha == 0.0`) outside.
@@ -475,17 +478,285 @@ fn axpy4_scalar(a: [f32; 4], xs: [&[f32]; 4], y: &mut [f32]) {
     }
 }
 
+/// Rows of `C` one [`rank_k_update`] register tile holds across the `k`
+/// loop.
+pub(crate) const MR: usize = 4;
+
+/// Columns of `C` one [`rank_k_update`] register tile holds (two AVX2
+/// registers per row).
+const NR: usize = 2 * LANES;
+
+/// Shape and strides of one [`rank_k_update`] call. `A` is addressed by
+/// strides so the conv reductions can read `dy` in place:
+/// `a(k, r) = a[k·a_ks + r·a_rs]`, `B[k][j] = b[k·ldb + j]` and
+/// `C[r][j] = c[r·ldc + j]`, for `r < rows`, `k < depth`, `j < cols`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RankK {
+    /// Rows of `C` updated.
+    pub rows: usize,
+    /// Length of the reduction.
+    pub depth: usize,
+    /// Columns of `C` (and `B`) updated.
+    pub cols: usize,
+    /// Stride of `a(k, r)` in `k`.
+    pub a_ks: usize,
+    /// Stride of `a(k, r)` in `r`.
+    pub a_rs: usize,
+    /// Row stride of `B`.
+    pub ldb: usize,
+    /// Row stride of `C`; at least `cols`, so rows of `C` never overlap.
+    pub ldc: usize,
+}
+
+impl RankK {
+    /// Whether the update touches no element at all.
+    fn is_empty(&self) -> bool {
+        self.rows == 0 || self.depth == 0 || self.cols == 0
+    }
+
+    /// Asserts every index a non-empty update touches lies inside operands
+    /// of the given lengths — the bound the AVX2 body's raw pointers rely
+    /// on.
+    fn check(&self, a_len: usize, b_len: usize, c_len: usize) {
+        assert!(
+            self.cols <= self.ldc,
+            "rank_k_update: ldc {} < cols {}",
+            self.ldc,
+            self.cols
+        );
+        // Index one past the last element read along two strided axes.
+        let end = |n0: usize, s0: usize, n1: usize, s1: usize, run: usize| {
+            (n0 - 1)
+                .checked_mul(s0)
+                .and_then(|x| (n1 - 1).checked_mul(s1)?.checked_add(x))
+                .and_then(|x| x.checked_add(run))
+        };
+        let (k, r, cols) = (self.depth, self.rows, self.cols);
+        assert!(
+            end(k, self.a_ks, r, self.a_rs, 1).is_some_and(|e| e <= a_len),
+            "rank_k_update: A operand out of bounds for {self:?}"
+        );
+        assert!(
+            end(k, self.ldb, 1, 0, cols).is_some_and(|e| e <= b_len),
+            "rank_k_update: B operand out of bounds for {self:?}"
+        );
+        assert!(
+            end(r, self.ldc, 1, 0, cols).is_some_and(|e| e <= c_len),
+            "rank_k_update: C operand out of bounds for {self:?}"
+        );
+    }
+}
+
+/// Register-blocked rank-`k` update, `C[r][j] += Σ_k a(k, r)·B[k][j]`
+/// (shape and strides in [`RankK`]) — the reduction of both tiled conv
+/// backward passes.
+///
+/// Per element the sum runs with `k` ascending, skips every term whose
+/// `a(k, r) == 0.0` (so `-0.0` is skipped too, while `NaN` is not), and
+/// adds each product with a separate mul and add. That is exactly the
+/// chain the repeated zero-skipping `axpy` calls
+/// `for k { if a(k, r) != 0.0 { axpy(a(k, r), B[k], C[r]) } }` run, so
+/// the result is bit-identical to them at any ISA, tile shape or caller
+/// partition. The AVX2 body holds a 4×16 tile of `C` in registers
+/// across the whole `k` loop instead of re-reading and re-writing `C`
+/// once per `k`, with column strips outermost so a `k`×strip panel of `B`
+/// stays in L1 while the row blocks sweep it.
+///
+/// # Panics
+///
+/// Unless the update is empty, panics if any touched index lies outside
+/// `a`, `b` or `c`, or if `ldc < cols`.
+pub fn rank_k_update(s: RankK, a: &[f32], b: &[f32], c: &mut [f32]) {
+    if s.is_empty() {
+        return;
+    }
+    s.check(a.len(), b.len(), c.len());
+    #[cfg(target_arch = "x86_64")]
+    if use_avx2() {
+        // Safety: AVX2+FMA presence established by `active_level`; every
+        // index the body forms is in bounds by `check` above.
+        unsafe { avx2::rank_k_update(&s, a.as_ptr(), b.as_ptr(), c.as_mut_ptr()) };
+        return;
+    }
+    rank_k_update_scalar(&s, a, b, c);
+}
+
+/// Portable body of [`rank_k_update`]: the same `MR`×16 tiles, with the
+/// accumulators in arrays the compiler may vectorize at baseline width.
+fn rank_k_update_scalar(s: &RankK, a: &[f32], b: &[f32], c: &mut [f32]) {
+    for r0 in (0..s.rows).step_by(MR) {
+        let mr = MR.min(s.rows - r0);
+        for j0 in (0..s.cols).step_by(NR) {
+            let w = NR.min(s.cols - j0);
+            let mut acc = [[0.0f32; NR]; MR];
+            for (r, row) in acc[..mr].iter_mut().enumerate() {
+                row[..w].copy_from_slice(&c[(r0 + r) * s.ldc + j0..][..w]);
+            }
+            for k in 0..s.depth {
+                let brow = &b[k * s.ldb + j0..][..w];
+                for (r, row) in acc[..mr].iter_mut().enumerate() {
+                    let av = a[k * s.a_ks + (r0 + r) * s.a_rs];
+                    if av == 0.0 {
+                        continue;
+                    }
+                    for (o, &x) in row[..w].iter_mut().zip(brow) {
+                        *o += av * x;
+                    }
+                }
+            }
+            for (r, row) in acc[..mr].iter().enumerate() {
+                c[(r0 + r) * s.ldc + j0..][..w].copy_from_slice(&row[..w]);
+            }
+        }
+    }
+}
+
 /// The AVX2+FMA bodies. Every function here is `unsafe` with the same
 /// contract: the caller has verified AVX2+FMA support and equal slice
 /// lengths. Arithmetic is `mul` + `add` (never `fmadd`) — see the module
 /// docs for why FMA contraction would break the bit-identity contract.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{lane_sum, LANES};
+    use super::{lane_sum, RankK, LANES, MR, NR};
     use core::arch::x86_64::{
-        __m256, _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
-        _mm256_storeu_ps, _mm256_sub_ps,
+        __m256, __m256i, _mm256_add_ps, _mm256_cmpgt_epi32, _mm256_loadu_ps, _mm256_maskload_ps,
+        _mm256_maskstore_ps, _mm256_mul_ps, _mm256_set1_epi32, _mm256_set1_ps, _mm256_setr_epi32,
+        _mm256_setzero_ps, _mm256_storeu_ps, _mm256_sub_ps,
     };
+
+    /// Bytes of `B` one column strip of [`rank_k_update`] may span — a
+    /// third of a 48 KiB L1, leaving room for the `C` rows and `A`.
+    const STRIP_BYTES: usize = 16 * 1024;
+
+    /// Body of [`super::rank_k_update`].
+    ///
+    /// # Safety
+    ///
+    /// AVX2+FMA must be available, `s` must describe a non-empty update,
+    /// and every index it addresses must lie inside the allocations `a`,
+    /// `b` and `c` point into (what [`RankK::check`] asserts).
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn rank_k_update(s: &RankK, a: *const f32, b: *const f32, c: *mut f32) {
+        // Strips are whole register tiles wide, so only the last strip
+        // carries a column tail.
+        let strip = (STRIP_BYTES / 4 / s.depth).max(NR) / NR * NR;
+        for j0 in (0..s.cols).step_by(strip) {
+            let w = strip.min(s.cols - j0);
+            let (bj, cj) = unsafe { (b.add(j0), c.add(j0)) };
+            let mut r0 = 0;
+            while r0 + MR <= s.rows {
+                unsafe { row_block::<MR>(s, a.add(r0 * s.a_rs), bj, cj.add(r0 * s.ldc), w) };
+                r0 += MR;
+            }
+            if r0 == s.rows {
+                continue;
+            }
+            // Offset only when rows remain: `r0 == rows` could point past
+            // the end of `a` or `c`.
+            unsafe {
+                let (ar, cr) = (a.add(r0 * s.a_rs), cj.add(r0 * s.ldc));
+                match s.rows - r0 {
+                    1 => row_block::<1>(s, ar, bj, cr, w),
+                    2 => row_block::<2>(s, ar, bj, cr, w),
+                    _ => row_block::<3>(s, ar, bj, cr, w),
+                }
+            }
+        }
+    }
+
+    /// Sweeps `R` rows of `C` across `w` columns: 16-column tiles, then
+    /// one 8-column tile, then a masked tile for the last `< 8` columns.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn row_block<const R: usize>(
+        s: &RankK,
+        a: *const f32,
+        b: *const f32,
+        c: *mut f32,
+        w: usize,
+    ) {
+        let mut j = 0;
+        let full = _mm256_set1_epi32(-1);
+        unsafe {
+            while j + NR <= w {
+                tile::<R, 2, false>(s, a, b.add(j), c.add(j), full);
+                j += NR;
+            }
+            if j + LANES <= w {
+                tile::<R, 1, false>(s, a, b.add(j), c.add(j), full);
+                j += LANES;
+            }
+            if j < w {
+                let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+                let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32((w - j) as i32), lane);
+                tile::<R, 1, true>(s, a, b.add(j), c.add(j), mask);
+            }
+        }
+    }
+
+    /// One `R`×`8V` register tile of `C`, loaded once, updated over the
+    /// whole `k` range, stored once. Masked-off lanes read as zero and are
+    /// never stored, so whatever they compute is discarded.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn tile<const R: usize, const V: usize, const MASKED: bool>(
+        s: &RankK,
+        a: *const f32,
+        b: *const f32,
+        c: *mut f32,
+        mask: __m256i,
+    ) {
+        unsafe {
+            let mut acc = [[_mm256_setzero_ps(); V]; R];
+            for (r, row) in acc.iter_mut().enumerate() {
+                for (v, x) in row.iter_mut().enumerate() {
+                    *x = load::<MASKED>(c.add(r * s.ldc + v * LANES), mask);
+                }
+            }
+            for k in 0..s.depth {
+                let bk = b.add(k * s.ldb);
+                let mut bv = [_mm256_setzero_ps(); V];
+                for (v, x) in bv.iter_mut().enumerate() {
+                    *x = load::<MASKED>(bk.add(v * LANES), mask);
+                }
+                let ak = a.add(k * s.a_ks);
+                for (r, row) in acc.iter_mut().enumerate() {
+                    let av = *ak.add(r * s.a_rs);
+                    if av == 0.0 {
+                        continue;
+                    }
+                    let va = _mm256_set1_ps(av);
+                    for (x, &bb) in row.iter_mut().zip(&bv) {
+                        *x = _mm256_add_ps(*x, _mm256_mul_ps(va, bb));
+                    }
+                }
+            }
+            for (r, row) in acc.iter().enumerate() {
+                for (v, &x) in row.iter().enumerate() {
+                    let p = c.add(r * s.ldc + v * LANES);
+                    if MASKED {
+                        _mm256_maskstore_ps(p, mask, x);
+                    } else {
+                        _mm256_storeu_ps(p, x);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Loads 8 lanes, only those set in `mask` when `MASKED` (the rest
+    /// read as zero without touching memory).
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn load<const MASKED: bool>(p: *const f32, mask: __m256i) -> __m256 {
+        unsafe {
+            if MASKED {
+                _mm256_maskload_ps(p, mask)
+            } else {
+                _mm256_loadu_ps(p)
+            }
+        }
+    }
 
     /// Spills one accumulator register back to the scalar lane array, so
     /// the final reduction is literally the same [`lane_sum`] call the

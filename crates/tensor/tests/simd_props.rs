@@ -10,6 +10,7 @@
 //! that installed `KernelPlan`s — which may only vary bit-free blocking —
 //! cannot change any output bit.
 
+use scnn_tensor::simd::{rank_k_update, RankK};
 use scnn_tensor::{
     conv2d_dw_tiled, conv2d_dx_tiled, conv2d_fwd_tiled, detected_level, force_level, install_plan,
     matmul_a_bt_into, matmul_at_b_acc_into, matmul_at_b_seq_into, matmul_into, Conv2dGeometry,
@@ -210,4 +211,130 @@ fn installed_plans_change_no_bits() {
     let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     assert_eq!(bits(&before_matmul), bits(&after_matmul), "matmul");
     assert_eq!(bits(&before_conv), bits(&after_conv), "conv");
+}
+
+/// `A` operand layouts of the two conv reductions: `dw` walks `k` with
+/// stride 1 and rows with a large stride; `dx` the other way round.
+#[derive(Clone, Copy, Debug)]
+enum ALayout {
+    Dw,
+    Dx,
+}
+
+/// Builds one `rank_k_update` case: `A` with exact `±0.0` (skipped),
+/// `NaN` (never skipped) and `±inf` entries, `B` with no zeros (so no
+/// `inf·0` NaN mixes payloads with `A`'s `NaN`s), and `C` seeded with
+/// `-0.0` wherever a fully skipped chain must leave its sign alone.
+fn rank_k_case(
+    mr: usize,
+    nc: usize,
+    depth: usize,
+    layout: ALayout,
+) -> (RankK, Vec<f32>, Vec<f32>, Vec<f32>) {
+    let (a_ks, a_rs) = match layout {
+        ALayout::Dw => (1, depth + 3),
+        ALayout::Dx => (mr + 2, 1),
+    };
+    let s = RankK {
+        rows: mr,
+        depth,
+        cols: nc,
+        a_ks,
+        a_rs,
+        ldb: nc + 5,
+        ldc: nc + 2,
+    };
+    let seed = (mr * 1000 + nc * 10 + depth) as u32;
+    let mut a = fill(&[(depth - 1) * a_ks + (mr - 1) * a_rs + 1], seed)
+        .as_slice()
+        .to_vec();
+    for k in 0..depth {
+        for r in 0..mr {
+            let v = &mut a[k * a_ks + r * a_rs];
+            // Row kinds rotate with `mr` so every row count sees each kind:
+            // 0 = every term skipped, 1 = NaNs, 2 = infinities, 3 = plain;
+            // all but kind 0 also hold some `±0.0`.
+            *v = match ((r + mr) % 4, (k * 7 + r * 3) % 11) {
+                (0, t) => {
+                    if t % 2 == 0 {
+                        0.0
+                    } else {
+                        -0.0
+                    }
+                }
+                (_, 0) => 0.0,
+                (_, 1) => -0.0,
+                (1, 2) => f32::NAN,
+                (2, 3) => f32::INFINITY,
+                (2, 4) => f32::NEG_INFINITY,
+                _ => *v,
+            };
+        }
+    }
+    let b: Vec<f32> = fill(&[depth * s.ldb], seed + 1)
+        .as_slice()
+        .iter()
+        .map(|&v| if v == 0.0 { 0.25 } else { v })
+        .collect();
+    let c: Vec<f32> = fill(&[mr * s.ldc], seed + 2)
+        .as_slice()
+        .iter()
+        .enumerate()
+        .map(|(i, &v)| if i % 3 == 0 { -0.0 } else { v })
+        .collect();
+    (s, a, b, c)
+}
+
+#[test]
+fn rank_k_update_matches_sequential_zero_skipping_axpy() {
+    for layout in [ALayout::Dw, ALayout::Dx] {
+        for depth in [1, 3, 256] {
+            for mr in 1..=9 {
+                for nc in [1, 7, 8, 9, 15, 16, 17, 40] {
+                    let (s, a, b, c0) = rank_k_case(mr, nc, depth, layout);
+                    // The oracle: for each k ascending, one zero-skipping
+                    // axpy of B's row k into every C row.
+                    let mut want = c0.clone();
+                    for k in 0..depth {
+                        for r in 0..mr {
+                            let av = a[k * s.a_ks + r * s.a_rs];
+                            if av == 0.0 {
+                                continue;
+                            }
+                            let crow = &mut want[r * s.ldc..r * s.ldc + nc];
+                            for (o, &x) in crow.iter_mut().zip(&b[k * s.ldb..]) {
+                                *o += av * x;
+                            }
+                        }
+                    }
+                    let label = format!("rank_k {layout:?} mr={mr} nc={nc} k={depth}");
+                    let run = || {
+                        let mut c = c0.clone();
+                        rank_k_update(s, &a, &b, &mut c);
+                        c
+                    };
+                    let got: Vec<u32> = run().iter().map(|v| v.to_bits()).collect();
+                    let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(got, want, "{label}: differs from the axpy oracle");
+                    assert_bit_identical_across_levels_and_threads(&label, run);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "out of bounds")]
+fn rank_k_update_rejects_a_short_operand() {
+    let s = RankK {
+        rows: 2,
+        depth: 3,
+        cols: 4,
+        a_ks: 1,
+        a_rs: 3,
+        ldb: 4,
+        ldc: 4,
+    };
+    // A needs (3-1)·1 + (2-1)·3 + 1 = 6 elements.
+    rank_k_update(s, &[1.0; 5], &[1.0; 12], &mut [0.0; 8]);
 }
